@@ -164,6 +164,9 @@ impl Detector {
     /// both directions are suspect. This is what catches the
     /// colluder→compromised-pretrusted half of a bribed pair, whose ratee
     /// is (still) high-reputed.
+    ///
+    /// `Ωc`/`Ωs` are read from [`SocialContext::snapshot`], so a call made
+    /// right after a mutation of `ctx` refreshes the snapshot first.
     pub fn inspect_pair(
         &self,
         ctx: &SocialContext,
@@ -173,8 +176,8 @@ impl Detector {
         rater_reputation: f64,
         ratee_reputation: f64,
     ) -> Option<Suspicion> {
-        self.inspect_pair_with_mean(
-            ctx,
+        self.inspect_pair_snapshot(
+            &ctx.snapshot(self.config.closeness),
             ledger,
             rater,
             ratee,
@@ -184,41 +187,11 @@ impl Detector {
         )
     }
 
-    /// [`Detector::inspect_pair`] with the system-wide mean rating
-    /// frequency `F̄` precomputed. `F̄` is a property of the whole interval,
-    /// not of the pair, so [`Detector::detect_all`] computes it once and
-    /// passes it to every pair inspection instead of rescanning the ledger
-    /// per pair.
-    #[allow(clippy::too_many_arguments)]
-    fn inspect_pair_with_mean(
-        &self,
-        ctx: &SocialContext,
-        ledger: &RatingLedger,
-        rater: NodeId,
-        ratee: NodeId,
-        rater_reputation: f64,
-        ratee_reputation: f64,
-        mean_freq: f64,
-    ) -> Option<Suspicion> {
-        let gate = self.frequency_gate(ledger, rater, ratee, mean_freq)?;
-        let omega_c = ctx.closeness(rater, ratee, self.config.closeness);
-        let omega_s = ctx.similarity(rater, ratee, self.config.weighted_similarity);
-        self.classify(
-            rater,
-            ratee,
-            rater_reputation,
-            ratee_reputation,
-            gate,
-            omega_c,
-            omega_s,
-        )
-    }
-
-    /// [`Detector::inspect_pair_with_mean`] serving `Ωc`/`Ωs` from a frozen
-    /// [`GraphSnapshot`] instead of the live cache. Bit-for-bit identical
-    /// results (the snapshot kernels reproduce the live evaluation order);
-    /// used by [`Detector::detect_all`] so the whole pass reads one
-    /// consistent view with no lock traffic.
+    /// [`Detector::inspect_pair`] against an already-acquired
+    /// [`GraphSnapshot`], with the system-wide mean rating frequency `F̄`
+    /// precomputed. `F̄` is a property of the whole interval, not of the
+    /// pair, so [`Detector::detect_all`] computes it and the snapshot once
+    /// and passes both to every pair inspection.
     #[allow(clippy::too_many_arguments)]
     fn inspect_pair_snapshot(
         &self,
@@ -244,9 +217,8 @@ impl Detector {
         )
     }
 
-    /// The rating-frequency gate shared by both inspection paths: `None`
-    /// when the pair's interval traffic is unremarkable (the social
-    /// coefficients are then never computed).
+    /// The rating-frequency gate: `None` when the pair's interval traffic
+    /// is unremarkable (the social coefficients are then never read).
     fn frequency_gate(
         &self,
         ledger: &RatingLedger,

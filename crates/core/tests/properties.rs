@@ -110,17 +110,17 @@ proptest! {
         prop_assert_eq!(guarded.reputations(), plain.reputations());
     }
 
-    /// The context's cached closeness/similarity must agree bit-for-bit
-    /// with direct (uncached) computation, including after mutations that
-    /// invalidate the coefficient cache mid-stream.
+    /// The context's snapshot closeness/similarity must agree bit-for-bit
+    /// with the direct [`ClosenessModel`] / `interest` oracles, including
+    /// after mutations that make the held snapshot stale mid-stream.
     #[test]
-    fn context_cache_agrees_with_direct_computation(
+    fn context_snapshot_agrees_with_direct_computation(
         edges in proptest::collection::vec((0u32..8, 0u32..8), 1..20),
         interactions in proptest::collection::vec((0u32..8, 0u32..8, 1u32..10), 1..20),
-        extra in (0u32..8, 0u32..8),
+        extra in (0u32..8, 0u32..8, 0u16..10),
     ) {
         use socialtrust_socnet::closeness::{ClosenessConfig, ClosenessModel};
-        use socialtrust_socnet::interest::similarity;
+        use socialtrust_socnet::interest::{similarity, weighted_similarity, InterestId};
         use socialtrust_socnet::relationship::Relationship;
 
         let mut ctx = SocialContext::new(8, 10);
@@ -137,27 +137,34 @@ proptest! {
         let config = ClosenessConfig::default();
         let check = |ctx: &SocialContext| -> Result<(), TestCaseError> {
             let model = ClosenessModel::new(ctx.graph(), ctx.interactions(), config);
+            let snap = ctx.snapshot(config);
             for i in 0..8u32 {
                 for j in 0..8u32 {
                     let (a, b) = (NodeId(i), NodeId(j));
+                    let (pa, pb) = (ctx.profile(a), ctx.profile(b));
                     prop_assert_eq!(
-                        ctx.closeness(a, b, config).to_bits(),
+                        snap.closeness(a, b).to_bits(),
                         model.closeness(a, b).to_bits()
                     );
                     prop_assert_eq!(
-                        ctx.similarity(a, b, false).to_bits(),
-                        similarity(ctx.profile(a).declared(), ctx.profile(b).declared()).to_bits()
+                        snap.interest_similarity(a, b, false).to_bits(),
+                        similarity(pa.declared(), pb.declared()).to_bits()
+                    );
+                    prop_assert_eq!(
+                        snap.interest_similarity(a, b, true).to_bits(),
+                        weighted_similarity(pa, pb).to_bits()
                     );
                 }
             }
             Ok(())
         };
         check(&ctx)?;
-        // Mutate through the context and re-check: the cache must refresh.
+        // Mutate through the context and re-check: the snapshot must refresh.
         let (a, b) = (NodeId(extra.0), NodeId(extra.1));
         if a != b {
             ctx.graph_mut().add_relationship(a, b, Relationship::kinship());
             ctx.record_interaction(a, b, 3.0);
+            ctx.record_request(a, b, InterestId(extra.2));
         }
         check(&ctx)?;
     }

@@ -208,7 +208,7 @@ impl ReputationService {
 
     /// Apply one event to the live substrate. Returns `Err` (and counts a
     /// rejection) when the event references a node outside the fixed
-    /// capacity; never panics on any [`ServerEvent`].
+    /// capacity or adds a self-edge; never panics on any [`ServerEvent`].
     pub fn apply(&mut self, event: &ServerEvent) -> Result<(), String> {
         let reject = |this: &mut Self, what: String| {
             this.events_rejected += 1;
@@ -245,6 +245,9 @@ impl ReputationService {
             ServerEvent::EdgeAdd { a, b, rel } => {
                 if !self.in_range(a) || !self.in_range(b) {
                     return reject(self, format!("edge_add {a}-{b} out of capacity"));
+                }
+                if a == b {
+                    return reject(self, format!("edge_add {a}-{b} is a self-edge"));
                 }
                 self.ctx.write().graph_mut().add_relationship(
                     NodeId(a),
@@ -572,6 +575,25 @@ mod tests {
             .is_err());
         assert_eq!(svc.events_rejected(), 3);
         assert_eq!(svc.events_applied(), 0);
+    }
+
+    #[test]
+    fn rejects_self_edges_without_panicking() {
+        // `parse_event` filters self-edges out of the log, but `apply` is
+        // public and must hold the same line for events built in code.
+        let t = telemetry();
+        let mut svc = ReputationService::new(small_config(), &t);
+        let err = svc
+            .apply(&ServerEvent::EdgeAdd {
+                a: 3,
+                b: 3,
+                rel: RelKind::Friend,
+            })
+            .unwrap_err();
+        assert!(err.contains("self-edge"), "{err}");
+        assert_eq!(svc.events_rejected(), 1);
+        assert_eq!(svc.events_applied(), 0);
+        assert_eq!(svc.ctx.read().graph().edge_count(), 0);
     }
 
     #[test]

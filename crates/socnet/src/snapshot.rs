@@ -1087,10 +1087,9 @@ impl Default for SnapshotStore {
     }
 }
 
-/// Cloning a store yields an **empty** store with the same shard policy
-/// (same rationale as the coefficient cache: the clone may be paired with
-/// a diverging copy of the graph, and snapshots are semantically
-/// transparent).
+/// Cloning a store yields an **empty** store with the same shard policy:
+/// the clone may be paired with a diverging copy of the graph, and
+/// snapshots are semantically transparent.
 impl Clone for SnapshotStore {
     fn clone(&self) -> Self {
         SnapshotStore {

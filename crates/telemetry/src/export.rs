@@ -418,8 +418,8 @@ mod tests {
 
     fn populated_registry() -> Registry {
         let r = Registry::new();
-        r.counter("cache_hits_total").add(10);
-        r.counter("cache_misses_total").add(3);
+        r.counter("snapshot_rebuilds_total").add(10);
+        r.counter("snapshot_patches_total").add(3);
         r.gauge("eigentrust_residual").set(1.25e-7);
         let h = r.histogram_with_bounds("detect_seconds", &[0.001, 0.01, 0.1]);
         for v in [0.0005, 0.004, 0.05, 2.0] {
@@ -436,7 +436,7 @@ mod tests {
         assert_eq!(samples, 12);
         assert!(text.contains("# TYPE detect_seconds histogram\n"));
         assert!(text.contains("detect_seconds_bucket{le=\"+Inf\"} 4\n"));
-        assert!(text.contains("cache_hits_total 10\n"));
+        assert!(text.contains("snapshot_rebuilds_total 10\n"));
         assert!(text.contains("detect_seconds{quantile=\"p50\"}"));
         assert!(text.contains("detect_seconds{quantile=\"p95\"}"));
         assert!(text.contains("detect_seconds{quantile=\"p99\"}"));
@@ -650,10 +650,9 @@ mod tests {
             .registry()
             .counter("detector_suspicions_total")
             .add(2);
-        telemetry.sink().emit(crate::Event::EvictionStorm {
-            evicted: 100,
-            full_flush: false,
-        });
+        telemetry
+            .sink()
+            .emit(crate::Event::SnapshotRebuild { dirty_nodes: 100 });
         let export = MetricsExport::collect(&telemetry);
         let text = export.to_json();
         let back: MetricsExport = serde_json::from_str(&text).unwrap();

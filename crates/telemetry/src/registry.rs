@@ -319,11 +319,11 @@ mod tests {
     #[test]
     fn get_or_create_returns_same_cell() {
         let r = Registry::new();
-        let a = r.counter("cache_hits_total");
-        let b = r.counter("cache_hits_total");
+        let a = r.counter("snapshot_rebuilds_total");
+        let b = r.counter("snapshot_rebuilds_total");
         a.add(3);
         b.inc();
-        assert_eq!(r.counter("cache_hits_total").get(), 4);
+        assert_eq!(r.counter("snapshot_rebuilds_total").get(), 4);
         assert!(a.same_cell(&b));
     }
 
@@ -364,7 +364,7 @@ mod tests {
     #[test]
     fn name_validation() {
         assert!(is_valid_metric_name("detect_seconds"));
-        assert!(is_valid_metric_name("ns:cache_hits_total"));
+        assert!(is_valid_metric_name("ns:snapshot_rebuilds_total"));
         assert!(is_valid_metric_name("_private"));
         assert!(!is_valid_metric_name(""));
         assert!(!is_valid_metric_name("1abc"));

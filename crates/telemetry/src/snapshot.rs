@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn snapshot_serde_roundtrip() {
         let mut snap = Snapshot::default();
-        snap.counters.insert("cache_hits_total".into(), 7);
+        snap.counters.insert("snapshot_rebuilds_total".into(), 7);
         snap.gauges.insert("eigentrust_residual".into(), 1e-9);
         snap.histograms
             .insert("detect_seconds".into(), hist(vec![1, 0], 1, 0.25));
